@@ -95,18 +95,6 @@ func Evaluate(sys *model.System, w Weights) (Cost, bool) {
 	return c, true
 }
 
-// candidates returns the ECUs an app may map to.
-func candidates(sys *model.System, a *model.App) []string {
-	if len(a.Candidates) > 0 {
-		return a.Candidates
-	}
-	out := make([]string, 0, len(sys.ECUs))
-	for _, e := range sys.ECUs {
-		out = append(out, e.Name)
-	}
-	return out
-}
-
 // Result is one exploration outcome.
 type Result struct {
 	Placement map[string]string
@@ -126,38 +114,44 @@ func Exhaustive(sys *model.System, w Weights, budget int64) (Result, error) {
 	if budget <= 0 {
 		budget = 10_000_000
 	}
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
-	best := Result{Cost: Cost{Total: math.Inf(1)}}
+	return newIndex(sys, w).exhaustive(budget)
+}
+
+func (ix *index) exhaustive(budget int64) (Result, error) {
+	order := ix.byName()
+	pl, bestPl := ix.Unplaced(), ix.Unplaced()
+	best := Result{Cost: infeasible}
 	var overBudget bool
 
 	var recurse func(i int) bool
 	recurse = func(i int) bool {
-		if i == len(apps) {
+		if i == len(order) {
 			best.Evaluated++
 			if best.Evaluated > budget {
 				overBudget = true
 				return false
 			}
-			c, ok := Evaluate(work, w)
-			if ok && c.Total < best.Cost.Total {
+			if c, ok := ix.evaluate(pl); ok && c.Total < best.Cost.Total {
 				best.Cost = c
 				best.Feasible = true
-				best.Placement = clonePlacement(work.Placement)
+				copy(bestPl, pl)
 			}
 			return true
 		}
-		for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-			work.Placement[apps[i].Name] = ecu
+		a := order[i]
+		for _, k := range ix.Candidates(ix.First(a)) {
+			ix.Place(pl, a, k)
 			if !recurse(i + 1) {
 				return false
 			}
 		}
-		delete(work.Placement, apps[i].Name)
+		ix.Place(pl, a, -1)
 		return true
 	}
 	recurse(0)
+	if best.Feasible {
+		best.Placement = ix.PlacementMap(bestPl)
+	}
 	if overBudget {
 		return best, ErrBudget
 	}
@@ -168,51 +162,53 @@ func Exhaustive(sys *model.System, w Weights, budget int64) (Result, error) {
 // utilization then memory, each onto the feasible candidate ECU that
 // minimizes the incremental objective.
 func Greedy(sys *model.System, w Weights) Result {
-	work := sys.Clone()
-	for _, a := range work.Apps {
-		delete(work.Placement, a.Name)
+	ix := newIndex(sys, w)
+	res, pl := ix.greedy()
+	if pl != nil {
+		res.Placement = ix.PlacementMap(pl)
 	}
-	apps := append([]*model.App(nil), work.Apps...)
-	sort.SliceStable(apps, func(i, j int) bool {
-		ui, uj := apps[i].Utilization(), apps[j].Utilization()
-		if ui != uj {
-			return ui > uj
-		}
-		if apps[i].MemoryKB != apps[j].MemoryKB {
-			return apps[i].MemoryKB > apps[j].MemoryKB
-		}
-		return apps[i].Name < apps[j].Name
-	})
-	res := Result{}
-	for _, a := range apps {
-		bestECU := ""
-		bestCost := math.Inf(1)
-		for _, ecu := range candidates(work, a) {
-			work.Placement[a.Name] = ecu
-			res.Evaluated++
-			if c, ok := evaluatePartial(work, w); ok && c.Total < bestCost {
-				bestCost = c.Total
-				bestECU = ecu
-			}
-		}
-		if bestECU == "" {
-			delete(work.Placement, a.Name)
-			return Result{Feasible: false, Evaluated: res.Evaluated, Cost: Cost{Total: math.Inf(1)}}
-		}
-		work.Placement[a.Name] = bestECU
-	}
-	c, ok := Evaluate(work, w)
-	res.Evaluated++
-	res.Cost = c
-	res.Feasible = ok
-	res.Placement = clonePlacement(work.Placement)
 	return res
 }
 
-// evaluatePartial scores a partially placed system: validation must hold
-// for the placed subset (model.Validate skips unplaced apps).
-func evaluatePartial(sys *model.System, w Weights) (Cost, bool) {
-	return Evaluate(sys, w)
+// greedy runs Greedy without building the placement map. It returns the
+// placement it ended on, or nil when some app had no feasible candidate.
+// Partial placements are scored as they are: validation skips unplaced
+// apps.
+func (ix *index) greedy() (Result, []int) {
+	apps, order := ix.System().Apps, ix.appOrder()
+	sort.SliceStable(order, func(i, j int) bool {
+		ai, aj := apps[order[i]], apps[order[j]]
+		ui, uj := ai.Utilization(), aj.Utilization()
+		if ui != uj {
+			return ui > uj
+		}
+		if ai.MemoryKB != aj.MemoryKB {
+			return ai.MemoryKB > aj.MemoryKB
+		}
+		return ai.Name < aj.Name
+	})
+	pl := ix.Unplaced()
+	res := Result{}
+	for _, a := range order {
+		best := -1
+		bestCost := math.Inf(1)
+		for _, k := range ix.Candidates(a) {
+			ix.Place(pl, a, k)
+			res.Evaluated++
+			if c, ok := ix.evaluate(pl); ok && c.Total < bestCost {
+				bestCost = c.Total
+				best = k
+			}
+		}
+		// An ECU named "" reads as no choice, as in a placement map.
+		if best < 0 || ix.Name(best) == "" {
+			return Result{Feasible: false, Evaluated: res.Evaluated, Cost: infeasible}, nil
+		}
+		ix.Place(pl, a, best)
+	}
+	res.Cost, res.Feasible = ix.evaluate(pl)
+	res.Evaluated++
+	return res, pl
 }
 
 // AnnealConfig tunes simulated annealing (ablation A5).
@@ -235,42 +231,41 @@ func DefaultAnnealConfig() AnnealConfig {
 // Anneal runs simulated annealing from the greedy solution (or a random
 // feasible one when greedy fails).
 func Anneal(sys *model.System, w Weights, cfg AnnealConfig) Result {
+	return newIndex(sys, w).anneal(cfg)
+}
+
+func (ix *index) anneal(cfg AnnealConfig) Result {
 	rng := sim.NewRNG(cfg.Seed)
-	work := sys.Clone()
-	res := Greedy(sys, w)
-	if res.Feasible {
-		work.Placement = clonePlacement(res.Placement)
-	} else {
+	g, pl := ix.greedy()
+	if !g.Feasible {
 		// Random restart.
-		for _, a := range work.Apps {
-			cs := candidates(work, a)
-			work.Placement[a.Name] = cs[rng.Intn(len(cs))]
+		if pl == nil {
+			pl = ix.Unplaced()
+		}
+		for a := range ix.System().Apps {
+			cs := ix.Candidates(a)
+			ix.Place(pl, a, cs[rng.Intn(len(cs))])
 		}
 	}
-	cur, curOK := Evaluate(work, w)
-	res.Evaluated++
-	best := Result{Placement: clonePlacement(work.Placement), Cost: cur, Feasible: curOK,
-		Evaluated: res.Evaluated}
+	cur, curOK := ix.evaluate(pl)
+	best := Result{Cost: cur, Feasible: curOK, Evaluated: g.Evaluated + 1}
+	bestPl := append([]int(nil), pl...)
 
-	apps := append([]*model.App(nil), work.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	if len(apps) == 0 {
-		return best
-	}
+	order := ix.byName()
 	temp := cfg.T0
-	for it := 0; it < cfg.Iterations; it++ {
+	for it := 0; len(order) > 0 && it < cfg.Iterations; it++ {
 		if cfg.CoolEvery > 0 && it > 0 && it%cfg.CoolEvery == 0 {
 			temp *= cfg.Cooling
 		}
-		a := apps[rng.Intn(len(apps))]
-		cs := candidates(work, a)
-		old := work.Placement[a.Name]
+		a := order[rng.Intn(len(order))]
+		cs := ix.Candidates(a)
+		old := pl[a]
 		next := cs[rng.Intn(len(cs))]
 		if next == old {
 			continue
 		}
-		work.Placement[a.Name] = next
-		cand, ok := Evaluate(work, w)
+		ix.Place(pl, a, next)
+		cand, ok := ix.evaluate(pl)
 		best.Evaluated++
 		accept := false
 		switch {
@@ -284,12 +279,13 @@ func Anneal(sys *model.System, w Weights, cfg AnnealConfig) Result {
 			if ok && (!best.Feasible || cand.Total < best.Cost.Total) {
 				best.Cost = cand
 				best.Feasible = true
-				best.Placement = clonePlacement(work.Placement)
+				copy(bestPl, pl)
 			}
 		} else {
-			work.Placement[a.Name] = old
+			ix.Place(pl, a, old)
 		}
 	}
+	best.Placement = ix.PlacementMap(bestPl)
 	return best
 }
 
@@ -309,28 +305,32 @@ func VerifyAllVariants(sys *model.System, w Weights, limit int64) VariantReport 
 	if limit <= 0 {
 		limit = 1_000_000
 	}
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
+	return newIndex(sys, w).verifyAll(limit)
+}
+
+func (ix *index) verifyAll(limit int64) VariantReport {
+	order := ix.byName()
+	pl := ix.Unplaced()
 	rep := VariantReport{}
 	var recurse func(i int) bool
 	recurse = func(i int) bool {
-		if i == len(apps) {
+		if i == len(order) {
 			rep.Total++
 			if rep.Total > limit {
 				rep.Truncated = true
 				rep.Total--
 				return false
 			}
-			if _, ok := Evaluate(work, w); ok {
+			if _, ok := ix.evaluate(pl); ok {
 				rep.Feasible++
 			} else {
 				rep.Infeasible++
 			}
 			return true
 		}
-		for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-			work.Placement[apps[i].Name] = ecu
+		a := order[i]
+		for _, k := range ix.Candidates(ix.First(a)) {
+			ix.Place(pl, a, k)
 			if !recurse(i + 1) {
 				return false
 			}
@@ -339,12 +339,4 @@ func VerifyAllVariants(sys *model.System, w Weights, limit int64) VariantReport 
 	}
 	recurse(0)
 	return rep
-}
-
-func clonePlacement(p map[string]string) map[string]string {
-	out := make(map[string]string, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
 }

@@ -29,12 +29,21 @@ func dominates(a, b Cost) bool {
 	return a.ECUCost < b.ECUCost || a.MaxUtil < b.MaxUtil || a.CrossMbps < b.CrossMbps
 }
 
+// admits reports whether a point costing c joins the front: no member
+// dominates or equals it.
+func admits(front []ParetoPoint, c Cost) bool {
+	for _, q := range front {
+		if dominates(q.Cost, c) || q.Cost == c {
+			return false
+		}
+	}
+	return true
+}
+
 // insertNonDominated maintains the front under insertion.
 func insertNonDominated(front []ParetoPoint, p ParetoPoint) []ParetoPoint {
-	for _, q := range front {
-		if dominates(q.Cost, p.Cost) || q.Cost == p.Cost {
-			return front // dominated or duplicate
-		}
+	if !admits(front, p.Cost) {
+		return front // dominated or duplicate
 	}
 	kept := front[:0]
 	for _, q := range front {
@@ -53,18 +62,19 @@ func ParetoFront(sys *model.System, budget int64, seed uint64) []ParetoPoint {
 	if budget <= 0 {
 		budget = 200_000
 	}
-	w := DefaultWeights()
+	return newIndex(sys, DefaultWeights()).paretoFront(budget, seed)
+}
+
+func (ix *index) paretoFront(budget int64, seed uint64) []ParetoPoint {
 	var front []ParetoPoint
 	evaluated := int64(0)
-
-	apps := append([]*model.App(nil), sys.Apps...)
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
-	work := sys.Clone()
+	order := ix.byName()
+	pl := ix.Unplaced()
 
 	space := int64(1)
 	exhaustiveOK := true
-	for _, a := range apps {
-		n := int64(len(candidates(work, work.App(a.Name))))
+	for _, a := range order {
+		n := int64(len(ix.Candidates(ix.First(a))))
 		if space > budget/n+1 {
 			exhaustiveOK = false
 			break
@@ -72,41 +82,42 @@ func ParetoFront(sys *model.System, budget int64, seed uint64) []ParetoPoint {
 		space *= n
 	}
 
+	// consider builds a point's placement map only when the point joins
+	// the front.
 	consider := func() {
 		evaluated++
-		c, ok := Evaluate(work, w)
-		if !ok {
+		c, ok := ix.evaluate(pl)
+		if !ok || !admits(front, c) {
 			return
 		}
-		front = insertNonDominated(front, ParetoPoint{
-			Placement: clonePlacement(work.Placement), Cost: c,
-		})
+		front = insertNonDominated(front, ParetoPoint{Placement: ix.PlacementMap(pl), Cost: c})
 	}
 
 	if exhaustiveOK && space <= budget {
 		var recurse func(i int)
 		recurse = func(i int) {
-			if i == len(apps) {
+			if i == len(order) {
 				consider()
 				return
 			}
-			for _, ecu := range candidates(work, work.App(apps[i].Name)) {
-				work.Placement[apps[i].Name] = ecu
+			a := order[i]
+			for _, k := range ix.Candidates(ix.First(a)) {
+				ix.Place(pl, a, k)
 				recurse(i + 1)
 			}
 		}
 		recurse(0)
 	} else {
 		// Seed with greedy, then random sampling.
-		if g := Greedy(sys, w); g.Feasible {
-			work.Placement = clonePlacement(g.Placement)
+		if g, gpl := ix.greedy(); g.Feasible {
+			copy(pl, gpl)
 			consider()
 		}
 		rng := sim.NewRNG(seed)
 		for evaluated < budget {
-			for _, a := range apps {
-				cs := candidates(work, work.App(a.Name))
-				work.Placement[a.Name] = cs[rng.Intn(len(cs))]
+			for _, a := range order {
+				cs := ix.Candidates(ix.First(a))
+				ix.Place(pl, a, cs[rng.Intn(len(cs))])
 			}
 			consider()
 		}

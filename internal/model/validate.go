@@ -68,6 +68,34 @@ func (r *Report) add(sev Severity, rule, subject, format string, args ...any) {
 	})
 }
 
+// placementRules are the error rules whose outcome depends on where apps
+// are placed. Every other rule reads the model alone, which lets
+// PlacementIndex decide those once per system.
+var placementRules = map[string]bool{
+	"placement/unknown-ecu":        true,
+	"placement/outside-candidates": true,
+	"placement/da-needs-rtos":      true,
+	"placement/needs-gpu":          true,
+	"placement/needs-crypto":       true,
+	"placement/mixed-needs-mmu":    true,
+	"resources/memory":             true,
+	"resources/cpu":                true,
+	"timing/wcet-on-ecu":           true,
+	"comms/needs-network":          true,
+	"comms/unreachable":            true,
+}
+
+// PlacementRules returns the error rules whose outcome depends on the
+// placement, sorted.
+func PlacementRules() []string {
+	out := make([]string, 0, len(placementRules))
+	for r := range placementRules {
+		out = append(out, r)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Validate runs the verification engine (Section 2.2: "an attached
 // verification engine should ensure that the interconnections and
 // deployment mappings fulfill the defined requirements"). It checks
