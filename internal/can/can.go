@@ -10,7 +10,7 @@ package can
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -44,6 +44,12 @@ type Bus struct {
 	seq     uint64
 	fd      bool
 	dataBps int64
+
+	// stations is the sorted attached-station list for broadcast
+	// delivery. Attach of a new name replaces it with a fresh slice and
+	// never edits it in place, so a delivery loop keeps the list it
+	// started with even if a receiver attaches a station mid-loop.
+	stations []string
 
 	// Stats
 	FramesSent   int64
@@ -87,7 +93,12 @@ func (b *Bus) Name() string { return b.cfg.Name }
 func (b *Bus) SetTap(t network.Tap) { b.tap = t }
 
 // Attach implements network.Network.
-func (b *Bus) Attach(station string, rx network.Receiver) { b.rx[station] = rx }
+func (b *Bus) Attach(station string, rx network.Receiver) {
+	if _, ok := b.rx[station]; !ok {
+		b.stations = network.InsertSorted(b.stations, station)
+	}
+	b.rx[station] = rx
+}
 
 // Send implements network.Network. Messages longer than MaxPayload are
 // rejected with a panic: callers must segment (the SOA layer does).
@@ -142,14 +153,15 @@ func (b *Bus) arbitrate() {
 	if b.busy || len(b.pending) == 0 {
 		return
 	}
-	sort.SliceStable(b.pending, func(i, j int) bool {
-		if b.pending[i].msg.ID != b.pending[j].msg.ID {
-			return b.pending[i].msg.ID < b.pending[j].msg.ID
+	// Winner: the minimum (ID, seq); seq is unique, so there are no ties.
+	w := 0
+	for i, p := range b.pending[1:] {
+		if win := b.pending[w]; p.msg.ID < win.msg.ID || (p.msg.ID == win.msg.ID && p.seq < win.seq) {
+			w = i + 1
 		}
-		return b.pending[i].seq < b.pending[j].seq
-	})
-	q := b.pending[0]
-	b.pending = b.pending[1:]
+	}
+	q := b.pending[w]
+	b.pending = slices.Delete(b.pending, w, w+1)
 	b.busy = true
 	ft := b.FrameTime(q.msg.Bytes)
 	b.ArbitrationQ.AddDuration(b.k.Now().Sub(q.enqueued))
@@ -190,14 +202,10 @@ func (b *Bus) deliver(q *queued) {
 		return
 	}
 	// CAN is a broadcast medium: everyone but the sender receives.
-	names := make([]string, 0, len(b.rx))
-	for n := range b.rx {
-		if n != q.msg.Src {
-			names = append(names, n)
+	for _, n := range b.stations {
+		if n == q.msg.Src {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
 		if b.tap != nil {
 			b.tap.FrameDelivered(b.cfg.Name, q.span, &q.msg, n, b.k.Now())
 		}

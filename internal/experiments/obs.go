@@ -67,7 +67,7 @@ func (r *ObsRun) Summary() string {
 	records, dropped := 0, int64(0)
 	for _, sc := range r.Scopes {
 		if t := sc.Obs.Tracer(); t != nil {
-			records += len(t.Records())
+			records += t.Len()
 			dropped += t.Dropped
 		}
 	}

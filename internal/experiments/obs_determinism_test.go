@@ -34,7 +34,7 @@ func TestE21ObservedMatchesPlain(t *testing.T) {
 		t.Errorf("observed E21 scopes = %d, want 16 (4 levels × 4 configs)", len(observed.Scopes))
 	}
 	for _, sc := range observed.Scopes {
-		if len(sc.Obs.Tracer().Records()) == 0 {
+		if sc.Obs.Tracer().Len() == 0 {
 			t.Errorf("scope %s recorded no trace events", sc.Name)
 		}
 	}

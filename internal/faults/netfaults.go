@@ -118,11 +118,14 @@ func (f *NetFaults) Attach(station string, rx network.Receiver) {
 
 // Send implements network.Network, applying partition, loss and
 // corruption in that order before handing the frame to the medium.
+// Taps get a pointer to a branch-local copy, so msg itself never
+// escapes and a frame that passes through does not allocate.
 func (f *NetFaults) Send(msg network.Message) {
 	if f.partitioned[msg.Src] {
 		f.FramesBlocked++
 		if f.tap != nil {
-			f.tap.FrameLost(f.Name(), 0, &msg, "partition", f.k.Now())
+			lost := msg
+			f.tap.FrameLost(f.Name(), 0, &lost, "partition", f.k.Now())
 		}
 		return
 	}
@@ -130,7 +133,8 @@ func (f *NetFaults) Send(msg network.Message) {
 		f.FramesDropped++
 		f.k.Trace("faults", "net %s: dropped frame id=%#x %s->%s", f.Name(), msg.ID, msg.Src, msg.Dst)
 		if f.tap != nil {
-			f.tap.FrameLost(f.Name(), 0, &msg, "fault-loss", f.k.Now())
+			lost := msg
+			f.tap.FrameLost(f.Name(), 0, &lost, "fault-loss", f.k.Now())
 		}
 		return
 	}
@@ -149,7 +153,8 @@ func (f *NetFaults) Send(msg network.Message) {
 			f.CorruptDropped++
 			f.k.Trace("faults", "net %s: corruption destroyed frame id=%#x", f.Name(), msg.ID)
 			if f.tap != nil {
-				f.tap.FrameLost(f.Name(), 0, &msg, "corrupt-drop", f.k.Now())
+				lost := msg
+				f.tap.FrameLost(f.Name(), 0, &lost, "corrupt-drop", f.k.Now())
 			}
 			return
 		}

@@ -732,11 +732,7 @@ func runScenario(sp Spec, opt runOpts) *runResult {
 	// observed runs of the same seed byte-for-byte).
 	if o != nil {
 		o.SnapshotKernel(k)
-		var tb bytes.Buffer
-		if err := obs.WriteChromeTrace(&tb, []obs.Scope{{Name: "fuzz", Trace: o.Tracer()}}); err != nil {
-			panic(err)
-		}
-		res.trace = tb.Bytes()
+		res.trace = obs.AppendChromeTrace(nil, []obs.Scope{{Name: "fuzz", Trace: o.Tracer()}})
 		var mb bytes.Buffer
 		if err := o.Metrics().WriteText(&mb); err != nil {
 			panic(err)

@@ -8,6 +8,8 @@
 package network
 
 import (
+	"slices"
+
 	"dynaplat/internal/sim"
 )
 
@@ -86,4 +88,16 @@ func TxTime(bytes int, bitsPerSecond int64) sim.Duration {
 	}
 	bits := int64(bytes) * 8
 	return sim.Duration((bits*1_000_000_000 + bitsPerSecond - 1) / bitsPerSecond)
+}
+
+// InsertSorted returns a new slice with station added to the sorted
+// stations, keeping the order; stations itself is never modified. Media keep their broadcast
+// fan-out list this way, so a delivery loop ranging over the old slice
+// is unaffected by an Attach made from inside a receiver.
+func InsertSorted(stations []string, station string) []string {
+	i, _ := slices.BinarySearch(stations, station)
+	out := make([]string, 0, len(stations)+1)
+	out = append(out, stations[:i]...)
+	out = append(out, station)
+	return append(out, stations[i:]...)
 }

@@ -14,9 +14,10 @@ import (
 //
 // One NetTap serves all networks of one kernel; per-network instruments
 // are cached in small maps that are only touched on the first frame of
-// each network (steady state is pointer updates only for counters; the
-// span path allocates trace records by design, which is why taps are
-// only installed when tracing/metrics are requested).
+// each network. Counters cost pointer updates only in steady state; the
+// span path allocates by design (each frame's track name and detail
+// string, plus one trace storage block per blockRecords records), which
+// is why taps are only installed when tracing/metrics are requested.
 type NetTap struct {
 	o *Obs
 

@@ -38,14 +38,23 @@ type Record struct {
 	Args  string // preformatted detail, "" when none
 }
 
+// blockRecords is the number of records per trace storage block
+// (24 KiB of 96-byte records, below the runtime's large-object size).
+const blockRecords = 256
+
 // Trace records spans and instants in virtual time. All state is owned
 // by the simulation goroutine (the kernel is single-threaded), so Trace
 // does no locking. A nil *Trace is safe: every method is a no-op, which
 // is how the hooks stay free when observability is disabled.
+//
+// Records are stored in fixed-size blocks of blockRecords, so a growing
+// trace allocates one block at a time and never copies the records it
+// already holds.
 type Trace struct {
-	k    *sim.Kernel
-	recs []Record
-	next uint64 // next span ordinal (first handed out is 1)
+	k      *sim.Kernel
+	blocks [][]Record // every block but the last is full
+	n      int        // retained records across all blocks
+	next   uint64     // next span ordinal (first handed out is 1)
 
 	// Cap bounds the number of retained records; 0 means unlimited.
 	// When full, further records are counted in Dropped but not stored.
@@ -58,20 +67,38 @@ func NewTrace(k *sim.Kernel) *Trace {
 	return &Trace{k: k}
 }
 
-// Records returns the retained records in recording order.
-func (t *Trace) Records() []Record {
+// Len returns the number of retained records (0 on a nil Trace).
+func (t *Trace) Len() int {
 	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// Records returns a flattened copy of the retained records in recording
+// order, or nil when there are none. It allocates; use Len for a count.
+func (t *Trace) Records() []Record {
+	if t == nil || t.n == 0 {
 		return nil
 	}
-	return t.recs
+	out := make([]Record, 0, t.n)
+	for _, b := range t.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 func (t *Trace) push(r Record) {
-	if t.Cap > 0 && len(t.recs) >= t.Cap {
+	if t.Cap > 0 && t.n >= t.Cap {
 		t.Dropped++
 		return
 	}
-	t.recs = append(t.recs, r)
+	if t.n%blockRecords == 0 {
+		t.blocks = append(t.blocks, make([]Record, 0, blockRecords))
+	}
+	last := &t.blocks[len(t.blocks)-1]
+	*last = append(*last, r)
+	t.n++
 }
 
 // Begin opens an async span on the given track and returns its handle.

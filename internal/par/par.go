@@ -66,6 +66,9 @@ func ForEach(n, workers int, fn func(int)) error {
 	)
 	next.Store(-1)
 	record := func(i int, v any) {
+		// Stop claims before the slow part (stack capture, mutex):
+		// sibling workers check failed on every claim.
+		failed.Store(true)
 		stack := make([]byte, 64<<10)
 		stack = stack[:runtime.Stack(stack, false)]
 		mu.Lock()
@@ -73,7 +76,6 @@ func ForEach(n, workers int, fn func(int)) error {
 			first = &PanicError{Index: i, Value: v, Stack: stack}
 		}
 		mu.Unlock()
-		failed.Store(true)
 	}
 	work := func() {
 		for {

@@ -451,8 +451,9 @@ func (o *Orchestrator) tick() {
 // completions, so silence proves nothing).
 func (o *Orchestrator) silenceThreshold(ecu string) sim.Duration {
 	var maxPeriod sim.Duration
-	for _, a := range o.ctrl.System().AppsOn(ecu) {
-		if a.Kind == model.Deterministic && a.Period > maxPeriod {
+	sys := o.ctrl.System()
+	for _, a := range sys.Apps {
+		if a.Kind == model.Deterministic && a.Period > maxPeriod && sys.Placement[a.Name] == ecu {
 			maxPeriod = a.Period
 		}
 	}

@@ -11,7 +11,7 @@ package tsn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynaplat/internal/network"
 	"dynaplat/internal/sim"
@@ -96,6 +96,9 @@ type Network struct {
 	// serializes switch→station under the GCL.
 	uplinks map[string]*link
 	egress  map[string]*link
+	// stations is the sorted attached-station list for broadcast
+	// fan-out, replaced (never edited in place) when a new name attaches.
+	stations []string
 
 	// Stats
 	Forwarded int64
@@ -145,6 +148,9 @@ func (n *Network) SetTap(t network.Tap) { n.tap = t }
 
 // Attach implements network.Network.
 func (n *Network) Attach(station string, rx network.Receiver) {
+	if _, ok := n.rx[station]; !ok {
+		n.stations = network.InsertSorted(n.stations, station)
+	}
 	n.rx[station] = rx
 	// Uplinks are ungated FIFO; egress ports run the GCL and shapers.
 	n.uplinks[station] = newLink(n, nil)
@@ -187,14 +193,10 @@ func (n *Network) forward(f *frame) {
 		}
 		return
 	}
-	names := make([]string, 0, len(n.egress))
-	for s := range n.egress {
-		if s != f.msg.Src {
-			names = append(names, s)
+	for _, s := range n.stations {
+		if s == f.msg.Src {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, s := range names {
 		g := *f
 		eg := n.egress[s]
 		dst := s
@@ -338,7 +340,8 @@ func (l *link) trySend() {
 			}
 			continue
 		}
-		l.queues[q] = l.queues[q][1:]
+		// Shift rather than reslice so the queue keeps its capacity.
+		l.queues[q] = slices.Delete(l.queues[q], 0, 1)
 		l.cbsCharge(q, tx, l.n.cfg.BitsPerSecond)
 		if l.n.tap != nil {
 			l.n.tap.FrameTxStart(l.n.cfg.Name, f.span, now)

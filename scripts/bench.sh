@@ -19,7 +19,10 @@
 #   kernel:      ns/op, B/op, allocs/op per micro-benchmark
 #   overhead:    SOA publish→deliver with observability hooks disabled
 #                vs. an enabled metrics/trace plane — hooks-disabled is
-#                the production default and must track the baseline
+#                the production default and must track the baseline —
+#                plus the Chrome trace export of a 4096-record trace
+#                (BenchmarkChromeTrace) and one determinism-oracle sweep
+#                over 64 fuzz seeds (BenchmarkCheck)
 #   experiments: holds (1|0) and ns/op per experiment benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,8 +107,9 @@ fi
 kernel_raw=$(go test -run '^$' -bench "$KERNEL_PAT" \
   -benchmem -benchtime "$BENCHTIME" ./internal/sim/)
 
-overhead_raw=$(go test -run '^$' -bench 'BenchmarkPublishDeliver' \
-  -benchmem -benchtime "$BENCHTIME" ./internal/soa/)
+overhead_raw=$(go test -run '^$' \
+  -bench '^(BenchmarkPublishDeliver.*|BenchmarkChromeTrace|BenchmarkCheck)$' \
+  -benchmem -benchtime "$BENCHTIME" ./internal/soa/ ./internal/obs/ ./internal/fuzz/)
 
 exp_raw=$(go test -run '^$' -bench 'BenchmarkE[0-9]+|BenchmarkFleetRollout' -benchtime 1x .)
 
